@@ -11,6 +11,13 @@ Started by ``run.py``.  It builds the fixed corpus, prints
   first pass always completes); then print one JSON line with each
   battery's latencies, the first answers and counters.
 
+Each battery's wall time is also kept scaled to the host's speed at
+that moment: ``common.calibration_ms`` is timed just before the
+battery, and the wall time times ``REFERENCE_CALIBRATION_MS`` over that
+reading is what ``latency_ms`` holds (``wall_ms`` keeps the raw times).
+A shared host's speed moves by a fifth within seconds, and by as much
+between runs a minute apart; the scaled times move with the program.
+
 With ``trace`` the first half of the time runs untraced and the second
 half traced, so the tracing overhead is measured on the same batteries.
 """
@@ -29,6 +36,7 @@ from typing import Any, Dict, List
 from repro import BatchAnalyzer
 
 import corpus
+from common import REFERENCE_CALIBRATION_MS, calibration_ms
 from oracle import canonical, same
 
 
@@ -40,6 +48,8 @@ def run_passes(
     when traced), so the harness does not slow the collections that run
     inside the timed batteries as the run goes on."""
     latencies: Dict[int, List[float]] = defaultdict(list)
+    walls: Dict[int, List[float]] = defaultdict(list)
+    speeds: List[float] = []
     reports: List[str] = []
     answers: Dict[str, Dict[str, Any]] = {}
     executions: Dict[str, int] = defaultdict(int)
@@ -67,6 +77,8 @@ def run_passes(
                     )
                 return analyzer.run(battery)
 
+            speed = calibration_ms()
+            speeds.append(speed)
             start = time.perf_counter()
             if tracer is None:
                 report = battery_run()
@@ -74,7 +86,9 @@ def run_passes(
                 report = tracer.run(
                     "battery", battery_run, request=f"b{passes}.{index}"
                 )
-            latencies[index].append((time.perf_counter() - start) * 1000.0)
+            wall = (time.perf_counter() - start) * 1000.0
+            walls[index].append(wall)
+            latencies[index].append(wall * REFERENCE_CALIBRATION_MS / speed)
             data = report.to_dict()
             if tracer is not None:
                 reports.append(json.dumps(data))
@@ -92,6 +106,8 @@ def run_passes(
         "passes": passes,
         "queries": queries,
         "latency_ms": {str(i): v for i, v in latencies.items()},
+        "wall_ms": {str(i): v for i, v in walls.items()},
+        "calibration_ms": sorted(speeds)[len(speeds) // 2],
         "answers": answers,
         "executions": dict(executions),
         "mismatches": dict(mismatches),

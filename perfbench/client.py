@@ -98,6 +98,11 @@ def _run_threads(port: int, work: Callable[[Connection], None]) -> None:
         raise errors[0]
 
 
+def open_requests(rate: float, seconds: float) -> int:
+    """How many requests :func:`open_loop` sends."""
+    return int(rate * seconds)
+
+
 def open_loop(
     port: int, make: MakeRequest, rate: float, seconds: float
 ) -> List[Sample]:
@@ -105,7 +110,7 @@ def open_loop(
     waits for a free connection when both are busy, and its latency
     counts from when it was due, so a stall shows in every request that
     queued behind it."""
-    count = int(rate * seconds)
+    count = open_requests(rate, seconds)
     bodies = [make(i) for i in range(count)]
     samples: List[Optional[Sample]] = [None] * count
     counter = itertools.count()

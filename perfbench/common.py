@@ -20,6 +20,11 @@ WORK = ROOT / ".perfbench_work"
 #: Percentiles a tail may be reported at, lowest first.
 TAIL_PERCENTILES = (75.0, 90.0, 95.0, 99.0, 99.9)
 
+#: What :func:`calibration_ms` reads at the usual speed of the machine
+#: the benchmark was tuned on (a 2-vCPU Intel Xeon guest).  Times scaled
+#: by it read as milliseconds at that speed.
+REFERENCE_CALIBRATION_MS = 1.0
+
 
 def child_env() -> Dict[str, str]:
     env = dict(os.environ)
@@ -90,6 +95,31 @@ def cpu_ticks() -> Tuple[int, int]:
     with open("/proc/stat", encoding="ascii") as handle:
         fields = [int(x) for x in handle.readline().split()[1:]]
     return fields[7], sum(fields)
+
+
+def _calibration_loop() -> int:
+    table: Dict[int, int] = {}
+    total = 0
+    for i in range(4000):
+        key = i * 7919 % 8191
+        table[key] = i
+        total += table.get(key ^ 1, 0) + i * i % 7
+    return total
+
+
+def calibration_ms() -> float:
+    """The current speed of the host: the median of three timings of a
+    fixed pure-Python loop of integer arithmetic and dict stores and
+    lookups (the kernel's staple operations; int keys, so the cyclic
+    collector never sees them).  On a shared host this moves by a fifth
+    within seconds while the program stays the same, and a battery's
+    wall time moves with it."""
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        _calibration_loop()
+        runs.append((time.perf_counter() - start) * 1000.0)
+    return sorted(runs)[1]
 
 
 def percentile(sorted_values: List[float], p: float) -> float:

@@ -22,7 +22,10 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from common import SRC, WORK, cpu_ticks, latency_summary, spawn, stop, wait_ready
+from common import (
+    REFERENCE_CALIBRATION_MS, SRC, WORK, cpu_ticks, latency_summary, spawn,
+    stop, wait_ready,
+)
 
 WORKLOADS = ("batch-cold", "serve-hot", "serve-churn")
 
@@ -100,7 +103,9 @@ def _worker_figures(result: Dict[str, Any], share: float) -> Dict[str, float]:
     medians = [statistics.median(v) for v in result["latency_ms"].values()]
     summary = latency_summary(medians)
     pass_s = sum(medians) / 1000.0
+    walls = [statistics.median(v) for v in result["wall_ms"].values()]
     return {
+        "wall_p50_ms": statistics.median(walls),
         "p50_ms": summary["p50_ms"],
         "tail_ms": summary["tail_ms"],
         "tail_percentile": summary["tail_percentile"],
@@ -165,8 +170,12 @@ def run_batch(
         metrics["server.overhead_ms"] = 0.0
         metrics["server.refused"] = 0.0
     else:
+        # Set-up runs in other processes than the readings, so it is
+        # scaled by the run's median reading, as the serve figures are.
+        speed = statistics.median(r["calibration_ms"] for r in outputs)
         metrics = {
-            "setup_s": statistics.median(setups),
+            "setup_s": statistics.median(setups)
+            * REFERENCE_CALIBRATION_MS / speed,
             **{
                 name: statistics.median(d[key] for d in workers)
                 for name, key in (
@@ -183,6 +192,8 @@ def run_batch(
         "passes": [r["passes"] for r in outputs],
         "tail_percentile": workers[0]["tail_percentile"],
         "worker_p50_ms": [d["p50_ms"] for d in workers],
+        "worker_wall_p50_ms": [d["wall_p50_ms"] for d in workers],
+        "worker_calibration_ms": [r["calibration_ms"] for r in outputs],
         "worker_queries_per_s": [d["queries_per_s"] for d in workers],
         "setup_runs_s": setups,
         "problems": problems[:20],

@@ -6,6 +6,12 @@ the measurement: a warm-up, an open loop at the workload's reference
 rate (the latency metrics), and a closed loop on two keep-alive
 connections (``max_rate_rps`` and ``queries_per_s``).  Every answer goes
 through the oracle.
+
+Before the open loop, between the loops and after the closed loop, with
+no request in flight, the client times ``common.calibration_ms``.  The
+run's set-up time, latencies and rates are scaled to the reference
+speed by the median of all those readings (README.md, "Host-speed
+scaling").
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 import corpus
-from client import Connection, Sample, closed_loop, open_loop
+from client import Connection, Sample, closed_loop, open_loop, open_requests
 from common import (
-    latency_summary, percentile, spawn, stop, vm_hwm_mb, wait_ready,
+    REFERENCE_CALIBRATION_MS, calibration_ms, latency_summary, percentile,
+    spawn, stop, vm_hwm_mb, wait_ready,
 )
 from oracle import Oracle, canonical
 
@@ -35,6 +42,8 @@ WARMUP_S = 0.5
 OPEN_SHARE = 0.6
 #: Fewest open-loop requests per server (p75 has ten samples beyond it).
 MIN_OPEN_SAMPLES = 40
+#: Calibration readings at each of a server's three idle moments.
+CALIBRATION_READINGS = 15
 
 #: Open-loop reference rates, well below what two connections sustain
 #: (see README.md for the saturation figures they were set from).
@@ -95,6 +104,26 @@ class Workload:
             )
             rid = f"{phase}{i}"
             return rid, self.body(rid, tree, queries, profile)
+
+        return make
+
+    def open_maker(self, count: int):
+        """The open loop's ``count`` requests: the same draws in every
+        run, in an order the seed shuffles.  The tail percentile falls
+        among the few heavy requests (``mcs`` on covid, about 6% of
+        serve-hot's mix), so a mix drawn from the seed moved it by a
+        third from one seed to the next."""
+        draws = [
+            corpus.draw_request(
+                self.name, self.scenarios, random.Random(f"r:{i}")
+            )
+            for i in range(count)
+        ]
+        random.Random(f"{self.seed}:r").shuffle(draws)
+
+        def make(i: int) -> Tuple[str, bytes]:
+            rid = f"r{i}"
+            return rid, self.body(rid, *draws[i])
 
         return make
 
@@ -246,9 +275,13 @@ def measure(
     closed_s = max(measured_s - open_s, 0.5)
     warm = closed_loop(server.port, workload.maker("w"), WARMUP_S)
     pool_before = server.pool_stats()
+    speeds = _calibrate()
     open_samples = open_loop(
-        server.port, workload.maker("r"), REFERENCE_RATE[name], open_s
+        server.port,
+        workload.open_maker(open_requests(REFERENCE_RATE[name], open_s)),
+        REFERENCE_RATE[name], open_s,
     )
+    speeds += _calibrate()
     closed_samples = closed_loop(
         server.port, workload.maker("c"), closed_s,
         prepare=int(closed_s * PREPARE_RATE[name]),
@@ -256,6 +289,7 @@ def measure(
     closed_start = min(s.sent for s in closed_samples)
     closed_wall = max(s.done for s in closed_samples) - closed_start
     pool_after = server.pool_stats()
+    speeds += _calibrate()
     peak_rss = vm_hwm_mb(server.proc.pid)
 
     totals = {"attempted": 0, "failed": 0, "refused": 0}
@@ -271,6 +305,7 @@ def measure(
         "open_ms": open_lat,
         "closed_ms": closed_lat,
         "open": latency_summary(open_lat),
+        "calibration_ms": speeds,
         "max_rate_rps": sum(v != float("inf") for v in closed_lat) / closed_wall,
         "queries_per_s": sum(closed_correct) / closed_wall,
         "late_ms": [(s.sent - s.due) * 1000.0 for s in open_samples],
@@ -285,22 +320,40 @@ def measure(
     }
 
 
+def _calibrate() -> List[float]:
+    return [calibration_ms() for _ in range(CALIBRATION_READINGS)]
+
+
 def combine(name: str, parts: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Merge the measurements of several servers: every figure is the
     median of the per-server figures, so a slow moment of the machine
-    during one server's share does not set it."""
+    during one server's share does not set it.  ``p50_ms``, ``tail_ms``
+    and the two rates are then scaled to the reference speed by the
+    median calibration reading of the run (``wall`` keeps them as
+    measured)."""
     closed = latency_summary([v for part in parts for v in part["closed_ms"]])
     overhead = sorted(v for part in parts for v in part["overhead_ms"])
+    speed = statistics.median(v for p in parts for v in p["calibration_ms"])
+    # Wall milliseconds per reference millisecond.
+    slowness = speed / REFERENCE_CALIBRATION_MS
+    wall = {
+        key: statistics.median(p[key] for p in parts)
+        for key in ("max_rate_rps", "queries_per_s")
+    }
+    for key in ("p50_ms", "tail_ms"):
+        wall[key] = statistics.median(p["open"][key] for p in parts)
     return {
-        "p50_ms": statistics.median(p["open"]["p50_ms"] for p in parts),
-        "tail_ms": statistics.median(p["open"]["tail_ms"] for p in parts),
+        "p50_ms": wall["p50_ms"] / slowness,
+        "tail_ms": wall["tail_ms"] / slowness,
+        "max_rate_rps": wall["max_rate_rps"] * slowness,
+        "queries_per_s": wall["queries_per_s"] * slowness,
+        "wall": wall,
+        "calibration_ms": speed,
         "server_p50_ms": [p["open"]["p50_ms"] for p in parts],
         "server_tail_ms": [p["open"]["tail_ms"] for p in parts],
         "tail_percentile": parts[0]["open"]["tail_percentile"],
         "samples_per_server": parts[0]["open"]["samples"],
-        "max_rate_rps": statistics.median(p["max_rate_rps"] for p in parts),
         "server_max_rate_rps": [p["max_rate_rps"] for p in parts],
-        "queries_per_s": statistics.median(p["queries_per_s"] for p in parts),
         "closed": closed,
         "limit_ms": LATENCY_LIMIT_MS[name],
         "limit_met": closed["tail_ms"] <= LATENCY_LIMIT_MS[name],
@@ -347,7 +400,8 @@ def run(
             _add(totals, parts[-1]["totals"])
         result = combine(name, parts)
         metrics = {
-            "setup_s": statistics.median(setups),
+            "setup_s": statistics.median(setups)
+            * REFERENCE_CALIBRATION_MS / result["calibration_ms"],
             "latency_p50_ms": result["p50_ms"],
             "latency_tail_ms": result["tail_ms"],
             "queries_per_s": result["queries_per_s"],
